@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] is a declarative schedule of hostile events — worker
 //! crashes, in-flight packet corruption, burst-noise episodes, credit-channel
-//! stalls — keyed entirely by *logical* run coordinates (worker id × rounds
-//! decoded, lattice id × round index, channel index × round index), never by
-//! wall clock or extra randomness.  The same plan against the same seeded
+//! stalls — keyed entirely by *logical* run coordinates (lattice id × round
+//! index, channel index × round index), never by wall clock, worker
+//! identity or extra randomness.  The same plan against the same seeded
 //! machine therefore injects the same faults at the same points every run,
 //! which is what lets the recovery tests demand byte-identical frames.
 //!
@@ -31,19 +31,23 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 
-/// Kill one worker once it has committed a given number of rounds.
+/// Kill whichever worker commits one lattice round.
 ///
-/// The crash fires at a batch boundary (no records are in flight inside the
-/// worker when it dies), as a panic unwound to the worker's supervisor,
-/// which restarts the decode stage — re-`prepare`-ing its decoders — over
-/// the same frame shard.  Each scheduled crash fires at most once, so the
-/// replacement does not immediately re-crash.
+/// The trigger is a stream coordinate, not a worker's own progress: with
+/// work stealing, which worker decodes which round depends on the thread
+/// schedule, but every committed round is committed by exactly one worker,
+/// so the crash fires exactly once on every run.  It fires at that worker's
+/// next batch boundary (no records are in flight inside the worker when it
+/// dies), as a panic unwound to the worker's supervisor, which restarts the
+/// decode stage — re-`prepare`-ing its decoders — over the same frame shard.
+/// A round that is shed or quarantined is never committed, so a crash keyed
+/// to it never fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashFault {
-    /// The worker to kill.
-    pub worker_id: usize,
-    /// Fire once the worker has committed at least this many rounds.
-    pub after_decoded: u64,
+    /// The lattice whose round triggers the crash.
+    pub lattice_id: u32,
+    /// The round (within that lattice's stream) whose commit triggers it.
+    pub round: u64,
 }
 
 /// Flip one bit of one lattice round's encoded record after admission, while
@@ -102,7 +106,7 @@ pub struct StallFault {
 /// use nisqplus_runtime::source::BurstOverlay;
 ///
 /// let plan = FaultPlan::default()
-///     .crash_worker(1, 10)
+///     .crash_on(1, 10)
 ///     .corrupt_record(0, 25, 2, 17)
 ///     .burst(2, BurstOverlay { start_round: 40, rounds: 20, factor: 30.0 })
 ///     .stall_channel(0, 100, 5_000_000);
@@ -121,14 +125,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Schedules a worker crash once `worker_id` has committed
-    /// `after_decoded` rounds.
+    /// Schedules a crash of whichever worker commits `(lattice_id, round)`.
     #[must_use]
-    pub fn crash_worker(mut self, worker_id: usize, after_decoded: u64) -> Self {
-        self.crashes.push(CrashFault {
-            worker_id,
-            after_decoded,
-        });
+    pub fn crash_on(mut self, lattice_id: u32, round: u64) -> Self {
+        self.crashes.push(CrashFault { lattice_id, round });
         self
     }
 
@@ -278,17 +278,17 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Worker hook, called at each batch boundary: `true` when a scheduled
-    /// crash for `worker_id` should fire now (the worker has committed
-    /// `decoded` rounds).  Fires each scheduled crash at most once, so the
-    /// supervisor's replacement survives.
+    /// Worker hook, called as each round commits: `true` when a scheduled
+    /// crash is keyed to `(lattice_id, round)`, in which case the worker
+    /// must panic at its next batch boundary.  Each scheduled crash fires
+    /// at most once, so the supervisor's replacement survives.
     #[must_use]
-    pub fn should_crash(&self, worker_id: usize, decoded: u64) -> bool {
+    pub fn crash_due(&self, lattice_id: u32, round: u64) -> bool {
         if self.plan.crashes.is_empty() {
             return false;
         }
         for (fault, armed) in self.plan.crashes.iter().zip(&self.crash_armed) {
-            if fault.worker_id == worker_id && decoded >= fault.after_decoded && armed.fire() {
+            if fault.lattice_id == lattice_id && fault.round == round && armed.fire() {
                 self.crashes_fired.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
@@ -485,7 +485,7 @@ mod tests {
     fn empty_plan_injects_nothing() {
         let injector = FaultInjector::disabled();
         assert!(injector.plan().is_empty());
-        assert!(!injector.should_crash(0, 1_000_000));
+        assert!(!injector.crash_due(0, 0));
         assert_eq!(injector.corrupt(0, 0), None);
         assert!(!injector.has_stalls());
         assert!(!injector.stall_active(0, 0, 0));
@@ -493,13 +493,18 @@ mod tests {
     }
 
     #[test]
-    fn crash_fires_once_at_its_threshold() {
-        let injector = FaultInjector::new(FaultPlan::default().crash_worker(1, 10));
-        assert!(!injector.should_crash(1, 9), "below the threshold");
-        assert!(!injector.should_crash(0, 50), "wrong worker");
-        assert!(injector.should_crash(1, 10));
+    fn crash_on_fires_exactly_once_and_only_for_its_round() {
+        let injector = FaultInjector::new(FaultPlan::default().crash_on(1, 10));
+        assert!(!injector.crash_due(1, 9), "an earlier round");
+        assert!(!injector.crash_due(1, 11), "a later round");
         assert!(
-            !injector.should_crash(1, 11),
+            !injector.crash_due(0, 10),
+            "the same round of another lattice"
+        );
+        assert_eq!(injector.snapshot().crashes, 0, "nothing fired yet");
+        assert!(injector.crash_due(1, 10));
+        assert!(
+            !injector.crash_due(1, 10),
             "the replacement must not re-crash"
         );
         assert_eq!(injector.snapshot().crashes, 1);
@@ -541,7 +546,7 @@ mod tests {
     #[test]
     fn report_reconciles_matching_books() {
         let plan = FaultPlan::default()
-            .crash_worker(0, 5)
+            .crash_on(0, 5)
             .corrupt_record(1, 3, 0, 1)
             .burst(
                 2,

@@ -27,8 +27,8 @@
 //!   `std::sync::atomic`, no external deps); the engine gives each worker
 //!   its own ring and lets idle workers steal from busy ones,
 //! * [`stage`] — the composable pipeline stages the engine is wired from:
-//!   credit counters and credit-backed channels, skid buffers, batch muxes
-//!   (steal / priority / round-robin), the QoS admission gate, the
+//!   credit counters and credit-backed channels, skid buffers, the
+//!   work-stealing batch mux, the QoS admission gate, the
 //!   prepared-decoder decode stage, frame and depth sinks, and the
 //!   [`PipelineGraph`] builder that assembles them into a running,
 //!   backpressured whole — every stage reporting its flow through a
@@ -151,10 +151,7 @@ pub use source::{
     BurstOverlay, ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, NoiseSpec,
     SourcedRound, SyndromeSource,
 };
-pub use stage::{
-    ClassRouter, ConsumePolicy, PipelineGraph, PipelineOptions, RouteStage, SpreadRouter,
-    StageReport,
-};
+pub use stage::{PipelineGraph, PipelineOptions, StageReport};
 pub use telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
     LatticeCounters, LatticeDepthSample, LatticeReport, ResidualReport, RuntimeCounters,

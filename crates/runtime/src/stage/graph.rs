@@ -4,19 +4,20 @@
 //! building blocks and runs it to completion:
 //!
 //! ```text
-//! source ──► gate ──► route ──► channel[0..C] ──► mux ──► decode ──► sink
-//!  (paced)  (QoS)   (placement)  (credit loops)  (per worker, N threads)
+//! source ──► gate ──► channel[0..W] ──► steal mux ──► decode ──► sink
+//!  (paced)  (QoS)    (credit loops)    (per worker, W threads)
 //! ```
 //!
 //! One paced source runs on the calling thread; `workers` decode threads
 //! each drive a mux → decode → sink chain.  Every seam is credit-backed:
 //! the channels carry capacity credits, the gate carries per-lattice budget
-//! credits that only come home when the decode commits.  The graph's shape
-//! is configurable through [`PipelineOptions`] — where rounds are placed
-//! ([`RouteStage`]) and how workers consume ([`ConsumePolicy`]) — with
-//! defaults that reproduce the engine's spread-and-steal behaviour
-//! byte-for-byte.  [`PipelineGraph::run`] returns a [`PipelineRun`]: the
-//! raw worker outputs, timelines, per-lattice producer statistics, and one
+//! credits that only come home when the decode commits.  The graph has one
+//! shape: one credit channel per worker, rounds spread over them by
+//! `(lattice_id + round) mod W`, and each worker draining its own channel
+//! before stealing from a neighbour ([`StealMux`]).  [`PipelineOptions`]
+//! only attaches taps and safety nets (observer, watchdog, replay, trace
+//! recording).  [`PipelineGraph::run`] returns a [`PipelineRun`]: the raw
+//! worker outputs, timelines, per-lattice producer statistics, and one
 //! [`StageReport`] per stage.
 
 use crate::config::{MachineConfig, PushPolicy};
@@ -32,11 +33,11 @@ use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoc
 use crate::stage::channel::CreditChannel;
 use crate::stage::decode::DecodeStage;
 use crate::stage::gate::{Admission, QosGate};
-use crate::stage::mux::{BatchMux, PriorityMux, RoundRobinMux, StealMux};
+use crate::stage::mux::StealMux;
 use crate::stage::sink::{DepthSink, FrameSink, WorkerOutput};
 use crate::stage::skid::SkidBuffer;
 use crate::stage::StageReport;
-use crate::telemetry::{DepthSample, LatticeCounters, RuntimeCounters};
+use crate::telemetry::{DepthSample, RuntimeCounters};
 use nisqplus_decoders::traits::DecoderFactory;
 use nisqplus_qec::logical::{classify_shed_round, LogicalState, ResidualTally};
 use std::fmt;
@@ -45,70 +46,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// The placement stage: which channel a round is sent to.
-pub trait RouteStage: fmt::Debug + Send + Sync {
-    /// The channel index for round `round` of lattice `lattice_id`, given
-    /// `channels` channels.  Must return a value `< channels`.
-    fn route(&self, lattice_id: u32, round: u64, channels: usize) -> usize;
-}
-
-/// The default placement: spread rounds over the pool, offset by lattice
-/// id so co-cadenced lattices don't all land on the same channel; stealing
-/// rebalances whatever placement gets wrong.  For a single lattice this is
-/// plain round-robin.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpreadRouter;
-
-impl RouteStage for SpreadRouter {
-    fn route(&self, lattice_id: u32, round: u64, channels: usize) -> usize {
-        ((u64::from(lattice_id) + round) % channels as u64) as usize
-    }
-}
-
-/// Class-based placement: lattice `i` always lands on channel
-/// `class_of[i] % channels`.  Combined with [`ConsumePolicy::Priority`]
-/// this builds a strict-priority pipeline — traffic classes get their own
-/// channel and workers drain lower-numbered classes first (see
-/// `examples/stage_pipeline.rs`).
-#[derive(Debug, Clone)]
-pub struct ClassRouter {
-    /// The traffic class of each lattice, indexed by lattice id.
-    pub class_of: Vec<usize>,
-}
-
-impl RouteStage for ClassRouter {
-    fn route(&self, lattice_id: u32, _round: u64, channels: usize) -> usize {
-        self.class_of[lattice_id as usize] % channels
-    }
-}
-
-/// How each worker's mux consumes the channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConsumePolicy {
-    /// Drain the worker's home channel, stealing a whole batch from the
-    /// first busy neighbour when home runs dry (the engine default; see
-    /// [`StealMux`]).
-    #[default]
-    OwnThenSteal,
-    /// Always drain the lowest-indexed busy channel ([`PriorityMux`]).
-    Priority,
-    /// Rotate grants across channels ([`RoundRobinMux`]).
-    RoundRobin,
-}
-
-/// The configurable shape of a [`PipelineGraph`].
+/// The taps and safety nets of a [`PipelineGraph`] run.
 ///
-/// The default options reproduce the classic engine wiring exactly: one
-/// channel per worker, spread placement, own-then-steal consumption, a
-/// watchdog far beyond any healthy stall.
+/// The graph's shape is fixed; these options only add an external
+/// observer, set the watchdog (the default is far beyond any healthy
+/// stall), or swap the live sources for a recorded trace.
 #[derive(Debug)]
 pub struct PipelineOptions {
-    /// The placement stage; `None` uses [`SpreadRouter`].
-    pub router: Option<Box<dyn RouteStage>>,
-    /// How workers consume the channels.
-    pub consume: ConsumePolicy,
-    /// Number of channels; `None` uses one per worker.
-    pub channels: Option<usize>,
     /// An external tap on the run's events and snapshots; `None` keeps the
     /// journal and snapshot log as the only consumers.
     pub observer: Option<Box<dyn RuntimeObserver>>,
@@ -120,7 +64,7 @@ pub struct PipelineOptions {
     /// existing runs and benches never meet it.
     pub watchdog: Duration,
     /// Re-serve this recorded trace instead of sampling the seeded sources.
-    /// The trace's rounds flow through the same gate/route/decode pipeline
+    /// The trace's rounds flow through the same gate/placement/decode pipeline
     /// verbatim; the machine's scenario script and noise specs are ignored
     /// (the trace already embodies their effects).
     pub replay: Option<SyndromeTrace>,
@@ -132,9 +76,6 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            router: None,
-            consume: ConsumePolicy::default(),
-            channels: None,
             observer: None,
             watchdog: Duration::from_secs(5),
             replay: None,
@@ -199,7 +140,7 @@ pub struct PipelineRun {
 /// Everything one decode worker needs, bundled to keep spawn sites tidy
 /// (and to let tests drive a worker directly against hand-filled channels).
 pub struct WorkerSeat<'a> {
-    /// This worker's index; its home channel is `worker_id % channels`.
+    /// This worker's index; its home channel is `worker_id % channels.len()`.
     pub worker_id: usize,
     /// The lattices being served.
     pub set: &'a LatticeSet,
@@ -224,8 +165,6 @@ pub struct WorkerSeat<'a> {
     pub correction_cap: Option<usize>,
     /// Maximum rounds decoded as one batch.
     pub batch_size: usize,
-    /// The worker's consumption discipline.
-    pub consume: ConsumePolicy,
     /// The run's observability plane (latency histograms, event journal,
     /// stage metrics registry).
     pub obs: &'a ObsPlane,
@@ -240,7 +179,6 @@ impl fmt::Debug for WorkerSeat<'_> {
             .field("worker_id", &self.worker_id)
             .field("channels", &self.channels.len())
             .field("batch_size", &self.batch_size)
-            .field("consume", &self.consume)
             .finish_non_exhaustive()
     }
 }
@@ -328,11 +266,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
     let (channels, gate, counters, obs) = (seat.channels, seat.gate, seat.counters, seat.obs);
     let epoch = seat.epoch;
     let mut decode = DecodeStage::new(seat.set, seat.codec, seat.factory);
-    let mut mux: Box<dyn BatchMux> = match seat.consume {
-        ConsumePolicy::OwnThenSteal => Box::new(StealMux::new(worker_id % channels.len())),
-        ConsumePolicy::Priority => Box::new(PriorityMux::new()),
-        ConsumePolicy::RoundRobin => Box::new(RoundRobinMux::new()),
-    };
+    let mux = StealMux::new(worker_id % channels.len());
     // Reusable batch records, shared across lattices (records are sized for
     // the largest lattice of the set).
     let mut batch: Vec<Vec<u64>> = (0..seat.batch_size)
@@ -340,11 +274,12 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
         .collect();
     let worker_counters = counters.per_worker.get(worker_id);
     let mut stall_polls = 0u64;
+    let mut crash_due = false;
     loop {
         // The crash hook sits at the batch boundary: no record is in flight
         // inside the worker when an injected panic fires, so nothing a
         // restart can't recover is ever lost.
-        if seat.injector.should_crash(worker_id, sink.committed()) {
+        if crash_due {
             panic!("{CRASH_PANIC_MARKER}: worker {worker_id}");
         }
         // ---- Fill a batch through the mux ------------------------------
@@ -421,6 +356,9 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
                 }
             }
             sink.commit(&decoded);
+            // A crash keyed to this round fires at the next batch boundary,
+            // in whichever worker committed it.
+            crash_due |= seat.injector.crash_due(decoded.lattice_id, decoded.round);
             let now = Instant::now();
             sink.record_latency(
                 lattice_id,
@@ -549,28 +487,59 @@ fn apply_elastic_events(
     }
 }
 
-/// Classifies one shed round under the streaming residual path.  A shed
-/// round gets the identity correction, so its residual *is* its seeded
-/// error: the classification folds into the lattice's shed tally, and a
-/// failure bumps the live `shed_failures` counter.  Allocation-free
-/// ([`classify_shed_round`] reads the error in place).
-fn tally_shed_round(
-    lattice: &nisqplus_qec::lattice::Lattice,
-    error: &nisqplus_qec::pauli::PauliString,
-    tally: &mut ResidualTally,
-    lattice_counters: &LatticeCounters,
-) {
-    let (x, z) = classify_shed_round(lattice, error);
-    tally.record_states(x, z);
-    if x != LogicalState::Success || z != LogicalState::Success {
-        lattice_counters
-            .shed_failures
-            .fetch_add(1, Ordering::Relaxed);
+/// The producer's books of shed rounds: the live `dropped` counters, the
+/// per-lattice shed-round lists and, under the streaming residual path, the
+/// shed rounds' residual tallies.  Every way a round is shed (a watchdog
+/// trip, a Drop lane's refusal, a poisoned delivery) goes through
+/// [`ShedBook::shed`], so the three books cannot drift apart.
+struct ShedBook {
+    /// Classify shed rounds as they are shed
+    /// ([`MachineConfig::streams_residuals`]).
+    streaming: bool,
+    /// Keep the per-lattice shed-round lists
+    /// ([`MachineConfig::track_shed_rounds`]).
+    track_rounds: bool,
+    rounds: Vec<Vec<u64>>,
+    tallies: Vec<ResidualTally>,
+}
+
+impl ShedBook {
+    fn new(config: &MachineConfig, lattices: usize) -> Self {
+        ShedBook {
+            streaming: config.streams_residuals(),
+            track_rounds: config.track_shed_rounds,
+            rounds: vec![Vec::new(); lattices],
+            tallies: vec![ResidualTally::default(); lattices],
+        }
+    }
+
+    /// Books `sourced` as shed.  A shed round gets the identity correction,
+    /// so its residual *is* its seeded error: under the streaming path the
+    /// classification folds into the lattice's tally and a failure bumps the
+    /// live `shed_failures` counter.  Allocation-free
+    /// ([`classify_shed_round`] reads the error in place).
+    fn shed(&mut self, set: &LatticeSet, counters: &RuntimeCounters, sourced: &SourcedRound) {
+        let lattice = sourced.lattice_id as usize;
+        let lattice_counters = &counters.per_lattice[lattice];
+        counters.dropped.fetch_add(1, Ordering::Relaxed);
+        lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.streaming {
+            let (x, z) = classify_shed_round(set.lattice(lattice), &sourced.error);
+            self.tallies[lattice].record_states(x, z);
+            if x != LogicalState::Success || z != LogicalState::Success {
+                lattice_counters
+                    .shed_failures
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if self.track_rounds {
+            self.rounds[lattice].push(sourced.round);
+        }
     }
 }
 
 /// The source stage: paced interleaved generation, bit-packing into a skid
-/// buffer, gate admission under each lattice's QoS lane, routed placement
+/// buffer, gate admission under each lattice's QoS lane, spread placement
 /// into the credit channels, depth sampling — plus the run's hostile-stream
 /// hooks: scheduled burst overlays, on-the-wire corruption, channel-stall
 /// emulation and the backpressure watchdog.
@@ -581,7 +550,6 @@ fn run_source(
     codec: &PacketCodec,
     channels: &[CreditChannel],
     gate: &QosGate,
-    router: &dyn RouteStage,
     counters: &RuntimeCounters,
     epoch: Instant,
     obs: &ObsPlane,
@@ -640,11 +608,9 @@ fn run_source(
     let source_metrics = StageMetrics::register(obs.registry(), "source");
     let words = codec.words_per_packet();
     let mut lattice_stats = vec![LatticeGenStats::default(); set.len()];
-    let mut lattice_shed: Vec<Vec<u64>> = vec![Vec::new(); set.len()];
     // Under the streaming residual path shed rounds are classified here,
-    // the moment they are shed — the replay path defers both to end of run.
-    let streaming = config.streams_residuals();
-    let mut shed_tallies = vec![ResidualTally::default(); set.len()];
+    // the moment they are shed — the replay path defers that to end of run.
+    let mut shed = ShedBook::new(config, set.len());
     let mut emitted_total = 0u64;
 
     while let Some(sourced) = feed.next_round() {
@@ -719,7 +685,11 @@ fn run_source(
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
         counters.generated.fetch_add(1, Ordering::Relaxed);
         lattice_counters.generated.fetch_add(1, Ordering::Relaxed);
-        let channel_index = router.route(lattice_id, sourced.round, channels.len());
+        // Spread placement, offset by lattice id so co-cadenced lattices
+        // don't all land on the same channel; stealing rebalances whatever
+        // placement gets wrong.
+        let channel_index =
+            ((u64::from(lattice_id) + sourced.round) % channels.len() as u64) as usize;
         let channel = &channels[channel_index];
         let stalls_scheduled = injector.has_stalls();
         // `delivered`: the record reached a channel.  A delivered *poisoned*
@@ -805,19 +775,7 @@ fn run_source(
                 }
                 if tripped {
                     skid.discard_front();
-                    counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    if streaming {
-                        tally_shed_round(
-                            set.lattice(lattice_id as usize),
-                            &sourced.error,
-                            &mut shed_tallies[lattice_id as usize],
-                            lattice_counters,
-                        );
-                    }
-                    if config.track_shed_rounds {
-                        lattice_shed[lattice_id as usize].push(sourced.round);
-                    }
+                    shed.shed(set, counters, &sourced);
                     obs.publish(
                         EventKind::WatchdogTrip,
                         EventSeverity::Critical,
@@ -855,19 +813,7 @@ fn run_source(
                 };
                 if !delivered {
                     skid.discard_front();
-                    counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    if streaming {
-                        tally_shed_round(
-                            set.lattice(lattice_id as usize),
-                            &sourced.error,
-                            &mut shed_tallies[lattice_id as usize],
-                            lattice_counters,
-                        );
-                    }
-                    if config.track_shed_rounds {
-                        lattice_shed[lattice_id as usize].push(sourced.round);
-                    }
+                    shed.shed(set, counters, &sourced);
                     if admission != Admission::Granted {
                         // Shed at the budget lane, not at a full channel.
                         obs.publish(
@@ -896,19 +842,7 @@ fn run_source(
             // it, so the round is shed-accounted *now* and its budget
             // credit (which `credit_decode` would have returned) refunded.
             gate.refund(lattice_id as usize);
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-            lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
-            if streaming {
-                tally_shed_round(
-                    set.lattice(lattice_id as usize),
-                    &sourced.error,
-                    &mut shed_tallies[lattice_id as usize],
-                    lattice_counters,
-                );
-            }
-            if config.track_shed_rounds {
-                lattice_shed[lattice_id as usize].push(sourced.round);
-            }
+            shed.shed(set, counters, &sourced);
             injector.corruption_delivered();
         } else if delivered {
             counters.enqueued.fetch_add(1, Ordering::Relaxed);
@@ -955,16 +889,16 @@ fn run_source(
         generation_elapsed_ns,
         final_backlog,
         lattice_stats,
-        lattice_shed,
-        shed_tallies,
+        lattice_shed: shed.rounds,
+        shed_tallies: shed.tallies,
         reports: vec![source_report, skid.report("skid"), depth_report],
         noise_epochs: feed.noise_epochs(set),
         trace: recorder.map(TraceRecorder::into_trace),
     }
 }
 
-/// The assembled pipeline: codec, channels, gate, router and consumption
-/// discipline, ready to run a machine's streams through a worker pool.
+/// The assembled pipeline: codec, channels and gate, ready to run a
+/// machine's streams through a worker pool.
 #[derive(Debug)]
 pub struct PipelineGraph<'a> {
     config: &'a MachineConfig,
@@ -972,8 +906,6 @@ pub struct PipelineGraph<'a> {
     codec: PacketCodec,
     channels: Vec<CreditChannel>,
     gate: QosGate,
-    router: Box<dyn RouteStage>,
-    consume: ConsumePolicy,
     obs: ObsPlane,
     injector: FaultInjector,
     watchdog: Duration,
@@ -982,9 +914,8 @@ pub struct PipelineGraph<'a> {
 }
 
 impl<'a> PipelineGraph<'a> {
-    /// Wires the graph for `config`'s machine.  With default `options` the
-    /// wiring reproduces the classic engine exactly: one channel per worker
-    /// of `queue_capacity / workers` slots, spread placement,
+    /// Wires the graph for `config`'s machine: one channel per worker of
+    /// `queue_capacity / workers` slots (rounded up), spread placement,
     /// own-then-steal consumption.  The observability plane is built from
     /// `config.obs` and every stage's metrics are registered up front, so
     /// nothing allocates on the hot path afterwards.
@@ -1000,7 +931,7 @@ impl<'a> PipelineGraph<'a> {
         } else {
             PacketCodec::for_lattice_bits(&set.ancilla_bits())
         };
-        let channel_count = options.channels.unwrap_or(config.workers).max(1);
+        let channel_count = config.workers.max(1);
         let per_channel_capacity = config.queue_capacity.div_ceil(channel_count);
         let channels = (0..channel_count)
             .map(|index| {
@@ -1017,20 +948,12 @@ impl<'a> PipelineGraph<'a> {
             codec,
             channels,
             gate,
-            router: options.router.unwrap_or_else(|| Box::new(SpreadRouter)),
-            consume: options.consume,
             obs,
             injector: FaultInjector::new(config.fault.clone()),
             watchdog: options.watchdog,
             replay: options.replay,
             record_trace: options.record_trace,
         }
-    }
-
-    /// The channel fan-out of this graph.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.channels.len()
     }
 
     /// The graph's observability plane.
@@ -1051,8 +974,6 @@ impl<'a> PipelineGraph<'a> {
             codec,
             channels,
             gate,
-            router,
-            consume,
             obs,
             injector,
             watchdog,
@@ -1100,7 +1021,6 @@ impl<'a> PipelineGraph<'a> {
                                 || config.replays_residuals(),
                             correction_cap: config.correction_cap,
                             batch_size: config.batch_size,
-                            consume,
                             obs,
                             injector,
                         })
@@ -1114,7 +1034,6 @@ impl<'a> PipelineGraph<'a> {
                 &codec,
                 &channels,
                 &gate,
-                &*router,
                 counters,
                 epoch,
                 &obs,
@@ -1293,7 +1212,6 @@ mod tests {
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
-            consume: ConsumePolicy::OwnThenSteal,
             obs: &obs,
             injector: &injector,
         });
@@ -1365,7 +1283,6 @@ mod tests {
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
-            consume: ConsumePolicy::OwnThenSteal,
             obs: &obs,
             injector: &injector,
         });
@@ -1386,33 +1303,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn spread_router_matches_the_classic_placement() {
-        let router = SpreadRouter;
-        for lattice_id in 0..3u32 {
-            for round in 0..8u64 {
-                assert_eq!(
-                    router.route(lattice_id, round, 3),
-                    ((u64::from(lattice_id) + round) % 3) as usize
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn class_router_pins_lattices_to_their_class_channel() {
-        let router = ClassRouter {
-            class_of: vec![0, 1, 1],
-        };
-        for round in 0..8u64 {
-            assert_eq!(router.route(0, round, 2), 0);
-            assert_eq!(router.route(1, round, 2), 1);
-            assert_eq!(router.route(2, round, 2), 1);
-        }
-        // More classes than channels wrap around instead of panicking.
-        assert_eq!(router.route(1, 0, 1), 0);
-    }
-
     /// The full graph with default options reproduces the engine contract:
     /// every round decoded exactly once, all stage credit books balanced at
     /// quiescence.
@@ -1428,7 +1318,6 @@ mod tests {
         let set = LatticeSet::new(config.lattices.clone()).unwrap();
         let counters = RuntimeCounters::with_topology(set.len(), config.workers);
         let graph = PipelineGraph::new(&config, &set, PipelineOptions::default());
-        assert_eq!(graph.channels(), 2);
         let factory = greedy_factory();
         let run = graph.run(&factory, &counters);
         let snap = counters.snapshot();
@@ -1478,7 +1367,7 @@ mod tests {
         }
         config.workers = 2;
         config.queue_capacity = 64;
-        config.fault = crate::fault::FaultPlan::default().crash_worker(0, 10);
+        config.fault = crate::fault::FaultPlan::default().crash_on(0, 10);
         let set = LatticeSet::new(config.lattices.clone()).unwrap();
         let counters = RuntimeCounters::with_topology(set.len(), config.workers);
         let graph = PipelineGraph::new(&config, &set, PipelineOptions::default());

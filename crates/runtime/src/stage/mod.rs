@@ -14,8 +14,9 @@
 //!   lock-free [`SpmcRing`](crate::queue::SpmcRing),
 //! * [`skid`] — [`SkidBuffer`], the one-or-two-entry buffer that decouples
 //!   a producer's valid from a consumer's ready across a stalled seam,
-//! * [`mux`] — [`RoundRobinMux`], [`StealMux`] and [`PriorityMux`]: the
-//!   arbiters that decide which input feeds a worker next,
+//! * [`mux`] — [`StealMux`], the arbiter that fills a worker's batch from
+//!   its home channel first and steals from a neighbour only when home is
+//!   dry,
 //! * [`gate`] — [`QosGate`], per-lattice admission control (push policy +
 //!   outstanding-round budget as a pipeline-spanning credit loop),
 //! * [`decode`] — [`DecodeStage`], the prepared-decoder hot path that turns
@@ -23,9 +24,10 @@
 //! * [`sink`] — [`FrameSink`] (frame commit + latency telemetry) and
 //!   [`DepthSink`] (down-sampled backlog timelines, aggregate and per
 //!   lattice),
-//! * [`graph`] — [`PipelineGraph`], the builder that wires stages into a
-//!   running pipeline: one paced source thread, N decode workers, and
-//!   backpressure at every seam.
+//! * [`graph`] — [`PipelineGraph`], which wires the stages into the one
+//!   running pipeline shape: one paced source thread spreading rounds over
+//!   one credit channel per worker, N decode workers, and backpressure at
+//!   every seam.
 //!
 //! Every stage answers for itself through a uniform [`StageReport`]
 //! (credits issued/consumed, occupancy, stall cycles), and the engine folds
@@ -48,11 +50,8 @@ pub use channel::CreditChannel;
 pub use credit::CreditCounter;
 pub use decode::{DecodeStage, DecodedRound};
 pub use gate::{Admission, QosGate};
-pub use graph::{
-    ClassRouter, ConsumePolicy, LatticeGenStats, PipelineGraph, PipelineOptions, PipelineRun,
-    RouteStage, SpreadRouter, WorkerSeat,
-};
-pub use mux::{BatchMux, FillResult, PriorityMux, RoundRobinMux, StealMux};
+pub use graph::{LatticeGenStats, PipelineGraph, PipelineOptions, PipelineRun, WorkerSeat};
+pub use mux::{FillResult, StealMux};
 pub use sink::{DepthSink, FrameSink, WorkerLatticeOutput, WorkerOutput};
 pub use skid::SkidBuffer;
 

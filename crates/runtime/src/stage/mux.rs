@@ -1,50 +1,30 @@
-//! Muxes: the arbiters that decide which input channel feeds a worker next.
+//! The mux: the arbiter that decides which input channel feeds a worker next.
 //!
 //! A hardware mux with an arbiter picks one of N valid inputs per grant; the
 //! software analogue here fills a worker's decode batch from a slice of
-//! [`CreditChannel`]s.  Three arbitration disciplines are provided:
-//!
-//! * [`StealMux`] — the engine's default: drain the worker's *home* channel
-//!   first and steal a whole batch from the first busy neighbour only when
-//!   home runs dry.  Maximizes locality (one lattice's rounds mostly decode
-//!   on one worker's warm state) while guaranteeing a burst on one channel
-//!   is drained by the whole pool.
-//! * [`PriorityMux`] — fixed priority: always drain the lowest-indexed
-//!   non-empty channel.  Lower-indexed channels preempt higher ones, which
-//!   is how `examples/stage_pipeline.rs` keeps a Block-class lattice's
-//!   latency flat while a Drop-class lattice sheds.
-//! * [`RoundRobinMux`] — a rotating grant: each batch slot goes to the next
-//!   non-empty channel after the previous grant, so asymmetric producers
-//!   share a worker fairly.
-//!
-//! All three implement [`BatchMux`], the stage-facing trait; a mux never
-//! copies a record twice — it pops straight into the caller's batch records.
+//! [`CreditChannel`]s.  The pipeline has one discipline, [`StealMux`]: drain
+//! the worker's *home* channel first and steal a whole batch from the first
+//! busy neighbour only when home runs dry.  That maximizes locality (one
+//! lattice's rounds mostly decode on one worker's warm state) while
+//! guaranteeing a burst on one channel is drained by the whole pool.  The
+//! mux never copies a record twice — it pops straight into the caller's
+//! batch records.
 
 use crate::stage::CreditChannel;
 
-/// What one [`BatchMux::fill`] call produced.
+/// What one [`StealMux::fill`] call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FillResult {
     /// Records now resident in `batch[..filled]`.
     pub filled: usize,
-    /// How many of them were taken from a non-home channel (always zero for
-    /// muxes without a notion of home).
+    /// How many of them were taken from a non-home channel.
     pub stolen: u64,
 }
 
-/// An arbitration discipline filling a decode batch from input channels.
-pub trait BatchMux {
-    /// Pops up to `batch.len()` records from `channels` into `batch`,
-    /// returning how many slots were filled and how many were stolen.
-    /// Each `batch[i]` must be sized to the channels' record width.
-    fn fill(&mut self, channels: &[CreditChannel], batch: &mut [Vec<u64>]) -> FillResult;
-}
-
-/// Home-first batch filling with whole-batch stealing, replicating the
-/// engine's work-stealing loop: drain the home channel up to the batch
-/// size; only if that yields *nothing*, scan neighbours in
-/// `(home + offset) % n` order and take a whole batch from the first busy
-/// one, counting every record taken there as stolen.
+/// Home-first batch filling with whole-batch stealing: drain the home
+/// channel up to the batch size; only if that yields *nothing*, scan
+/// neighbours in `(home + offset) % n` order and take a whole batch from
+/// the first busy one, counting every record taken there as stolen.
 #[derive(Debug, Clone, Copy)]
 pub struct StealMux {
     /// The channel this worker drains preferentially.
@@ -58,15 +38,10 @@ impl StealMux {
         StealMux { home }
     }
 
-    /// The home channel index.
-    #[must_use]
-    pub fn home(&self) -> usize {
-        self.home
-    }
-}
-
-impl BatchMux for StealMux {
-    fn fill(&mut self, channels: &[CreditChannel], batch: &mut [Vec<u64>]) -> FillResult {
+    /// Pops up to `batch.len()` records from `channels` into `batch`,
+    /// returning how many slots were filled and how many were stolen.
+    /// Each `batch[i]` must be sized to the channels' record width.
+    pub fn fill(&self, channels: &[CreditChannel], batch: &mut [Vec<u64>]) -> FillResult {
         let mut filled = 0usize;
         while filled < batch.len() && channels[self.home].try_recv(&mut batch[filled]) {
             filled += 1;
@@ -90,70 +65,6 @@ impl BatchMux for StealMux {
     }
 }
 
-/// Fixed-priority arbitration: every grant goes to the lowest-indexed
-/// non-empty channel, draining it batch by batch before a higher-indexed
-/// channel is looked at again.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PriorityMux;
-
-impl PriorityMux {
-    /// A fixed-priority mux (channel 0 highest).
-    #[must_use]
-    pub fn new() -> Self {
-        PriorityMux
-    }
-}
-
-impl BatchMux for PriorityMux {
-    fn fill(&mut self, channels: &[CreditChannel], batch: &mut [Vec<u64>]) -> FillResult {
-        let mut filled = 0usize;
-        for channel in channels {
-            while filled < batch.len() && channel.try_recv(&mut batch[filled]) {
-                filled += 1;
-            }
-            if filled > 0 {
-                break;
-            }
-        }
-        FillResult { filled, stolen: 0 }
-    }
-}
-
-/// A rotating grant: each batch slot is offered to channels starting just
-/// past the channel that won the previous grant, so persistent traffic on
-/// one channel cannot starve the others.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobinMux {
-    /// Channel index that gets first refusal on the next grant.
-    cursor: usize,
-}
-
-impl RoundRobinMux {
-    /// A round-robin mux starting its rotation at channel 0.
-    #[must_use]
-    pub fn new() -> Self {
-        RoundRobinMux { cursor: 0 }
-    }
-}
-
-impl BatchMux for RoundRobinMux {
-    fn fill(&mut self, channels: &[CreditChannel], batch: &mut [Vec<u64>]) -> FillResult {
-        let mut filled = 0usize;
-        'slots: while filled < batch.len() {
-            for offset in 0..channels.len() {
-                let candidate = (self.cursor + offset) % channels.len();
-                if channels[candidate].try_recv(&mut batch[filled]) {
-                    filled += 1;
-                    self.cursor = (candidate + 1) % channels.len();
-                    continue 'slots;
-                }
-            }
-            break;
-        }
-        FillResult { filled, stolen: 0 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,26 +77,10 @@ mod tests {
         channel
     }
 
-    fn fill_all(
-        mux: &mut impl BatchMux,
-        channels: &[CreditChannel],
-        batch_size: usize,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        loop {
-            let mut batch: Vec<Vec<u64>> = (0..batch_size).map(|_| vec![0u64]).collect();
-            let result = mux.fill(channels, &mut batch);
-            if result.filled == 0 {
-                return out;
-            }
-            out.extend(batch[..result.filled].iter().map(|r| r[0]));
-        }
-    }
-
     #[test]
     fn steal_mux_prefers_home_and_steals_whole_batches() {
         let channels = [channel_with(&[10, 11]), channel_with(&[20, 21, 22])];
-        let mut mux = StealMux::new(0);
+        let mux = StealMux::new(0);
         let mut batch: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64]).collect();
         // Home has two records: the fill takes both and steals nothing even
         // though a neighbour is busy.
@@ -216,7 +111,7 @@ mod tests {
     fn steal_mux_scans_neighbours_in_ring_order() {
         let channels = [channel_with(&[]), channel_with(&[]), channel_with(&[30])];
         // Home 1 scans 2 before wrapping to 0.
-        let mut mux = StealMux::new(1);
+        let mux = StealMux::new(1);
         let mut batch: Vec<Vec<u64>> = (0..2).map(|_| vec![0u64]).collect();
         let result = mux.fill(&channels, &mut batch);
         assert_eq!(
@@ -227,51 +122,5 @@ mod tests {
             }
         );
         assert_eq!(batch[0][0], 30);
-    }
-
-    #[test]
-    fn priority_mux_always_serves_the_lowest_busy_channel() {
-        let channels = [channel_with(&[1, 2]), channel_with(&[100, 200])];
-        let mut mux = PriorityMux::new();
-        // Channel 0 preempts channel 1 until it is completely drained.
-        assert_eq!(fill_all(&mut mux, &channels, 3), vec![1, 2, 100, 200]);
-        // Refill channel 0 while channel 1 still had traffic in a longer
-        // run: a fresh high-priority record wins the very next grant.
-        assert!(channels[1].try_send(&[300]));
-        assert!(channels[0].try_send(&[3]));
-        let mut batch: Vec<Vec<u64>> = (0..2).map(|_| vec![0u64]).collect();
-        let result = mux.fill(&channels, &mut batch);
-        assert_eq!(result.filled, 1);
-        assert_eq!(batch[0][0], 3);
-    }
-
-    /// Fairness under asymmetric load: one channel carries 9× the traffic
-    /// of the other, yet the rotating grant interleaves them one-for-one
-    /// until the light channel is exhausted — the heavy channel cannot
-    /// starve it.
-    #[test]
-    fn round_robin_mux_is_fair_under_asymmetric_load() {
-        let heavy: Vec<u64> = (100..109).collect();
-        let light = [1, 2, 3];
-        let channels = [channel_with(&heavy), channel_with(&light)];
-        let mut mux = RoundRobinMux::new();
-        let drained = fill_all(&mut mux, &channels, 4);
-        assert_eq!(drained.len(), 12);
-        // The light channel's three records all appear within the first six
-        // grants (strict alternation while both are busy).
-        let light_positions: Vec<usize> = drained
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v < 100)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(light_positions, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn round_robin_mux_skips_empty_channels_without_stalling() {
-        let channels = [channel_with(&[]), channel_with(&[7, 8])];
-        let mut mux = RoundRobinMux::new();
-        assert_eq!(fill_all(&mut mux, &channels, 2), vec![7, 8]);
     }
 }

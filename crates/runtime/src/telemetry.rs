@@ -22,7 +22,7 @@ use crate::obs::{
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
 use nisqplus_qec::logical::ResidualTally;
-use nisqplus_sim::stats::{histogram, quantile_sorted, Summary};
+use nisqplus_sim::stats::Summary;
 use nisqplus_system::backlog::{BacklogComparison, MeasuredBacklog};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -349,10 +349,10 @@ pub struct LatticeDepthSample {
 
 /// Tail quantiles of a latency distribution, nanoseconds.
 ///
-/// Exact when computed from raw samples ([`LatencyProfile::of`]); exact to
-/// within one log-bucket width when read from a bounded-memory
-/// [`HistogramSnapshot`] ([`LatencyProfile::from_histogram`]).  All four
-/// values are finite by construction (0.0 for an empty sample set).
+/// Read from a bounded-memory [`HistogramSnapshot`]
+/// ([`LatencyProfile::from_histogram`]), so each is exact to within one
+/// log-bucket width and clamped to the recorded extrema.  All four values
+/// are finite by construction (0.0 for an empty distribution).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LatencyQuantiles {
     /// Median.
@@ -373,53 +373,14 @@ pub struct LatencyProfile {
     pub summary: Summary,
     /// Tail quantiles, in nanoseconds.
     pub quantiles: LatencyQuantiles,
-    /// Histogram bin edges in nanoseconds (empty when no samples).  Fixed
-    /// width from [`LatencyProfile::of`]; log-bucketed (geometric widths)
-    /// from [`LatencyProfile::from_histogram`].
+    /// Histogram bin edges in nanoseconds (empty when no samples):
+    /// the occupied log buckets' own geometric widths.
     pub histogram_edges: Vec<f64>,
     /// Estimated probability mass per bin (empty when no samples).
     pub histogram_density: Vec<f64>,
 }
 
 impl LatencyProfile {
-    /// Number of histogram bins used by [`LatencyProfile::of`].
-    pub const BINS: usize = 20;
-
-    /// Summarizes a sample of latencies (nanoseconds).  Non-finite samples
-    /// are ignored (see [`Summary::of`]); every field of the result is
-    /// finite, whatever the input.
-    #[must_use]
-    pub fn of(samples_ns: &[f64]) -> Self {
-        let summary = Summary::of(samples_ns);
-        // `max <= 0.0` covers both the all-zero sample set (a histogram
-        // over the degenerate range [0, 0) is undefined — `histogram`
-        // asserts max > 0) and any all-non-positive set; the summary still
-        // carries count/mean/extrema, only the shape is omitted.
-        let (histogram_edges, histogram_density) = if summary.count == 0 || summary.max <= 0.0 {
-            (Vec::new(), Vec::new())
-        } else {
-            // Nudge the range so the maximum sample lands inside the last bin.
-            histogram(samples_ns, Self::BINS, summary.max * (1.0 + 1e-9))
-        };
-        let mut sorted: Vec<f64> = samples_ns
-            .iter()
-            .copied()
-            .filter(|s| s.is_finite())
-            .collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples compare"));
-        LatencyProfile {
-            summary,
-            quantiles: LatencyQuantiles {
-                p50: quantile_sorted(&sorted, 0.5),
-                p90: quantile_sorted(&sorted, 0.9),
-                p99: quantile_sorted(&sorted, 0.99),
-                p999: quantile_sorted(&sorted, 0.999),
-            },
-            histogram_edges,
-            histogram_density,
-        }
-    }
-
     /// Builds a profile from a bounded-memory [`HistogramSnapshot`] — the
     /// hot path records into a
     /// [`LogHistogram`](crate::obs::LogHistogram) instead of an unbounded
@@ -993,38 +954,14 @@ mod tests {
         assert!(RuntimeCounters::with_lattices(2).per_worker.is_empty());
     }
 
-    #[test]
-    fn latency_profile_of_samples() {
-        let profile = LatencyProfile::of(&[100.0, 200.0, 300.0]);
-        assert_eq!(profile.summary.count, 3);
-        assert!((profile.summary.mean - 200.0).abs() < 1e-9);
-        assert_eq!(profile.histogram_edges.len(), LatencyProfile::BINS + 1);
-        let mass: f64 = profile.histogram_density.iter().sum();
-        assert!((mass - 1.0).abs() < 1e-9, "all samples inside the range");
-    }
-
-    #[test]
-    fn empty_latency_profile_is_well_formed() {
-        let profile = LatencyProfile::of(&[]);
-        assert_eq!(profile.summary.count, 0);
-        assert!(profile.histogram_edges.is_empty());
-        assert!(profile.histogram_density.is_empty());
-        for q in [
-            profile.quantiles.p50,
-            profile.quantiles.p90,
-            profile.quantiles.p99,
-            profile.quantiles.p999,
-        ] {
-            assert!(q.is_finite());
-            assert_eq!(q, 0.0);
-        }
-        assert!(profile.summary.mean.is_finite());
-        assert!(profile.summary.std_dev.is_finite());
-    }
-
+    /// One recorded latency pins every statistic to that value: the
+    /// quantiles are clamped to the recorded extrema, not smeared across
+    /// the bucket.
     #[test]
     fn single_sample_profile_pins_every_statistic_to_that_sample() {
-        let profile = LatencyProfile::of(&[42.0]);
+        let hist = crate::obs::LogHistogram::new();
+        hist.record(42);
+        let profile = LatencyProfile::from_histogram(&hist.snapshot());
         assert_eq!(profile.summary.count, 1);
         assert_eq!(profile.summary.mean, 42.0);
         assert_eq!(profile.summary.std_dev, 0.0);
@@ -1036,36 +973,17 @@ mod tests {
 
     #[test]
     fn identical_samples_yield_zero_spread_and_that_value_everywhere() {
-        let profile = LatencyProfile::of(&[7.0; 64]);
+        let hist = crate::obs::LogHistogram::new();
+        for _ in 0..64 {
+            hist.record(7);
+        }
+        let profile = LatencyProfile::from_histogram(&hist.snapshot());
         assert_eq!(profile.summary.count, 64);
         assert_eq!(profile.summary.std_dev, 0.0);
         assert_eq!(profile.quantiles.p50, 7.0);
         assert_eq!(profile.quantiles.p99, 7.0);
         let mass: f64 = profile.histogram_density.iter().sum();
         assert!((mass - 1.0).abs() < 1e-9);
-    }
-
-    /// The documented `max <= 0.0` branch: an all-zero sample set has a
-    /// well-defined summary but no histogram shape (the bin range [0, 0)
-    /// is degenerate), and nothing is NaN.
-    #[test]
-    fn all_zero_samples_skip_the_histogram_without_nan() {
-        let profile = LatencyProfile::of(&[0.0, 0.0, 0.0]);
-        assert_eq!(profile.summary.count, 3);
-        assert_eq!(profile.summary.mean, 0.0);
-        assert!(profile.histogram_edges.is_empty());
-        assert!(profile.quantiles.p50.is_finite());
-        assert_eq!(profile.quantiles.p999, 0.0);
-    }
-
-    #[test]
-    fn non_finite_samples_are_ignored_not_propagated() {
-        let profile = LatencyProfile::of(&[f64::NAN, 10.0, f64::INFINITY, 30.0]);
-        assert_eq!(profile.summary.count, 2, "only the finite samples count");
-        assert!((profile.summary.mean - 20.0).abs() < 1e-9);
-        assert!(profile.summary.std_dev.is_finite());
-        assert_eq!(profile.summary.max, 30.0);
-        assert!(profile.quantiles.p99.is_finite());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Credit-flow tests for the stage layer: the flow-control behaviour the
 //! paper assumes of hardware, pinned at the seams the software pipeline is
 //! built from.  Exhaustion/replenish on the channel credit loop, lossless
-//! skid buffering under stall, mux fairness under asymmetric load — and a
+//! skid buffering under stall, steal-mux accounting — and a
 //! property test driving a miniature source→gate→skid→channel→consumer
 //! graph through random stall schedules, asserting no lattice's rounds are
 //! ever dropped or reordered.
 
-use nisqplus_runtime::stage::{
-    Admission, BatchMux, CreditChannel, PriorityMux, QosGate, RoundRobinMux, SkidBuffer, StealMux,
-};
+use nisqplus_runtime::stage::{Admission, CreditChannel, QosGate, SkidBuffer, StealMux};
 use nisqplus_runtime::{LatticeSet, LatticeSpec, MachineConfig, PushPolicy};
 use proptest::prelude::*;
 
@@ -133,58 +131,6 @@ fn skid_buffer_loses_nothing_into_a_stalled_channel() {
     assert_eq!(channel.credits().available(), 1);
 }
 
-/// Round-robin mux fairness: a light channel beside a heavy one still gets
-/// every other grant, so asymmetric load cannot starve it.
-#[test]
-fn round_robin_mux_is_fair_under_asymmetric_load() {
-    let channels = [CreditChannel::new(32, 1), CreditChannel::new(32, 1)];
-    for value in 0..12u64 {
-        assert!(channels[0].try_send(&[value]));
-    }
-    for value in 100..103u64 {
-        assert!(channels[1].try_send(&[value]));
-    }
-    let mut mux = RoundRobinMux::new();
-    let mut batch: Vec<Vec<u64>> = (0..6).map(|_| vec![0u64]).collect();
-    let fill = mux.fill(&channels, &mut batch);
-    assert_eq!(fill.filled, 6);
-    let light: Vec<usize> = batch
-        .iter()
-        .take(fill.filled)
-        .enumerate()
-        .filter(|(_, record)| record[0] >= 100)
-        .map(|(slot, _)| slot)
-        .collect();
-    // The light channel's records occupy alternating slots of the first
-    // batch instead of waiting behind the heavy channel's twelve.
-    assert_eq!(light, vec![1, 3, 5]);
-}
-
-/// Priority mux strictness: while the high-priority channel has records,
-/// the low-priority one is never granted.
-#[test]
-fn priority_mux_starves_low_priority_while_high_is_busy() {
-    let channels = [CreditChannel::new(32, 1), CreditChannel::new(32, 1)];
-    for value in 0..4u64 {
-        assert!(channels[0].try_send(&[value]));
-        assert!(channels[1].try_send(&[100 + value]));
-    }
-    let mut mux = PriorityMux::new();
-    let mut batch: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64]).collect();
-    let fill = mux.fill(&channels, &mut batch);
-    assert_eq!(fill.filled, 4);
-    assert!(
-        batch.iter().all(|record| record[0] < 100),
-        "high-priority drains first"
-    );
-    let fill = mux.fill(&channels, &mut batch);
-    assert_eq!(fill.filled, 4);
-    assert!(
-        batch.iter().all(|record| record[0] >= 100),
-        "low-priority only once high is dry"
-    );
-}
-
 /// Steal mux accounting: a worker whose home channel is dry takes a whole
 /// batch from the neighbour and counts every record as stolen.
 #[test]
@@ -193,7 +139,7 @@ fn steal_mux_counts_every_foreign_record() {
     for value in 0..3u64 {
         assert!(channels[1].try_send(&[value]));
     }
-    let mut mux = StealMux::new(0);
+    let mux = StealMux::new(0);
     let mut batch: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64]).collect();
     let fill = mux.fill(&channels, &mut batch);
     assert_eq!(fill.filled, 3);

@@ -15,9 +15,10 @@
 //!   identity, so the reference run replays the *same* burst and the frames
 //!   still match exactly.
 //!
-//! On top of that, worker 0 is killed (an injected panic) after its tenth
-//! committed round — the supervisor catches the unwind, re-prepares the
-//! decoders, and the replacement adopts the dead worker's frame shard — and
+//! On top of that, whichever worker commits lattice 0's round 10 is killed
+//! (an injected panic) at its next batch boundary — the supervisor catches
+//! the unwind, re-prepares the decoders, and the replacement adopts the
+//! dead worker's frame shard — and
 //! channel 0 refuses sends for 2 ms starting at machine emission 50,
 //! exercising the backpressure path without tripping the watchdog.
 //!
@@ -86,7 +87,7 @@ fn main() {
     silence_injected_crash_panics();
 
     let chaos_plan = FaultPlan::default()
-        .crash_worker(0, 10) // kill worker 0 after 10 committed rounds
+        .crash_on(0, 10) // kill whichever worker commits lattice 0 round 10
         .corrupt_record(1, 5, 2, 13) // flip bit 13 of word 2, lattice 1 round 5
         .burst(2, BURST) // 8x noise on lattice 2, rounds 40..60
         .stall_channel(0, 50, 2_000_000); // channel 0 dead for 2 ms
@@ -97,7 +98,7 @@ fn main() {
     println!(
         "chaos run: 3 lattices (d=5 Block, d=3 Drop, d=3 Block) x {ROUNDS} rounds on 2 workers"
     );
-    println!("  plan: kill worker 0 after 10 decodes; poison lattice 1 round 5 on the wire;");
+    println!("  plan: kill the worker committing lattice 0 round 10; poison lattice 1 round 5;");
     println!("        8x burst on lattice 2 rounds 40..60; stall channel 0 for 2 ms");
     println!();
     let chaos = run(chaos_plan);

@@ -22,7 +22,10 @@
 //! and a strictly higher failure rate under shedding than under
 //! backpressure.  The event journal must tell the same story: one `shed`
 //! event per dropped round (the totals reconcile exactly with the
-//! counters) and `budget_exhausted` warnings from the Drop lane.
+//! counters) and `budget_exhausted` warnings from the Drop lane.  So must
+//! the per-stage reports: every shed round is an explicit skid discard,
+//! every channel credit is home at quiescence, and the decode stages
+//! emitted exactly the decoded rounds.
 //!
 //! Run with `cargo run --release --example qos_runtime`.  Every line of the
 //! printed report is documented in `docs/OPERATIONS.md`.
@@ -37,6 +40,9 @@ use std::sync::Arc;
 
 /// Rounds streamed per lattice.
 const ROUNDS: u64 = 400;
+
+/// Decode workers, one credit channel each.
+const WORKERS: usize = 3;
 
 /// Per-lattice syndrome-generation period: the paper's 400 ns scaled by
 /// 250x (~100 us) so a single shared core can host producer and workers.
@@ -72,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec(3, 2022).with_shared_decoder(lookup.clone()),
         spec(3, 2023).with_shared_decoder(lookup),
     ];
-    config.workers = 3;
+    config.workers = WORKERS;
     config.queue_capacity = 16_384;
     config.push_policy = PushPolicy::Block;
     config.analyze_residuals = true;
@@ -84,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = StreamingEngine::with_machine(config)?;
     println!(
         "streaming 4 lattices (d=5 Drop/budget 4, d=5 Block, 2x d=3 lookup) x {ROUNDS} rounds, \
-         d=5 throttled to ~{} us per sector decode on 3 workers",
+         d=5 throttled to ~{} us per sector decode on {WORKERS} workers",
         D5_FLOOR_NS / 1000
     );
     println!();
@@ -157,6 +163,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "identity corrections must cover shed rounds in the frame"
         );
     }
+
+    // --- The stage reports balance their books, seam by seam. -----------
+    let stages = |prefix: &'static str| {
+        report
+            .stages
+            .iter()
+            .filter(move |r| r.stage.starts_with(prefix))
+    };
+    let skid = stages("skid").next().expect("the source's skid reports");
+    // Every shed round is refused upstream (at the gate's budget lane or by
+    // a creditless channel) and then discarded from the skid: the explicit,
+    // counted lossy path.  Nothing is lost implicitly.
+    assert_eq!(skid.rejected, report.counters.dropped);
+    assert_eq!(stages("channel.").count(), WORKERS);
+    for channel in stages("channel.") {
+        assert_eq!(
+            channel.credits_consumed, channel.credits_issued,
+            "{}: every credit is home at quiescence",
+            channel.stage
+        );
+    }
+    assert_eq!(
+        stages("decode.").map(|r| r.emitted).sum::<u64>(),
+        report.counters.decoded,
+        "the decode stages emitted exactly the decoded rounds"
+    );
 
     // --- The event journal narrates the same story. ----------------------
     // Every shed round published one Shed event, so the journal's per-kind
